@@ -13,9 +13,9 @@
 //!              [--warm on|off] [--cuts on|off] [--heuristics on|off]
 //!              [--propagation on|off] [--conflicts on|off]
 //!              [--branch-rule most-frac|first-frac|pseudo|reliability]
-//!              [--symmetry on|off] [--json PATH] [--append-json PATH]
+//!              [--json PATH] [--append-json PATH]
 //!              [--ablation] [--cuts-ablation] [--heuristics-ablation]
-//!              [--symmetry-ablation] [--trace]
+//!              [--branch-ablation] [--trace]
 //! ```
 //!
 //! `--ablation` replaces the kernel A/B with the full
@@ -38,10 +38,10 @@
 //! tree (when both prove). When the budget stops both endpoint runs early
 //! the gate compares incumbent gaps instead: all-on must not be worse.
 //!
-//! `--symmetry-ablation` runs the tree-shrink grid (baseline, reliability
-//! branching only, symmetry only, both) on the same reference
-//! configuration and **fails** (exit code 1) if proven optima diverge, a
-//! feature arm loses an optimum the baseline proves, or a feature arm's
+//! `--branch-ablation` runs the branching-rule A/B (most-fractional
+//! baseline against reliability branching) on the same reference
+//! configuration and **fails** (exit code 1) if proven optima diverge,
+//! reliability branching loses an optimum the baseline proves, or its
 //! tree is more than 5% larger than the baseline's.
 //!
 //! `--json PATH` additionally writes the run's records as a JSON array
@@ -75,19 +75,6 @@ impl Accel {
     const ALL_OFF: Accel = Accel { heuristics: false, propagation: false, conflicts: false };
 }
 
-/// The tree-shrink dimensions of PR 10: branching rule and mesh-symmetry
-/// exploitation (lex-leader rows + orbital fixing).
-#[derive(Debug, Clone, Copy)]
-struct Search {
-    branch: BranchRule,
-    symmetry: bool,
-}
-
-impl Search {
-    /// The PR-6-era reference: most-fractional branching, no symmetry.
-    const BASELINE: Search = Search { branch: BranchRule::MostFractional, symmetry: false };
-}
-
 struct KernelRun {
     status: String,
     nodes: u64,
@@ -102,8 +89,6 @@ struct KernelRun {
     gap: f64,
     dual_bound: f64,
     objective: f64,
-    symmetry_orbits: u64,
-    orbital_fixings: u64,
     strong_branch_probes: u64,
 }
 
@@ -115,7 +100,7 @@ fn run(
     warm: bool,
     cuts: bool,
     accel: Accel,
-    search: Search,
+    branch: BranchRule,
     tasks: usize,
     seconds: f64,
     seed: u64,
@@ -134,21 +119,14 @@ fn run(
         .heuristics(accel.heuristics)
         .propagation(accel.propagation)
         .conflict_cuts(accel.conflicts)
-        .branch_rule(search.branch);
-    if search.symmetry {
-        // The solver verifies each mesh automorphism against the model
-        // coefficients, so an asymmetric (jitter-broken) instance simply
-        // yields no group.
-        opts = opts.symmetry_candidates(enc.symmetry_candidates(&p));
-    } else {
-        opts = opts.symmetry_breaking(false).orbital_fixing(false);
-    }
+        .branch_rule(branch);
     if trace {
         eprintln!(
             "[trace] --- kernel={kernel:?} pricing={} order={} warm={warm} cuts={cuts} \
-             accel={accel:?} search={search:?} seed={seed} ---",
+             accel={accel:?} branch={} seed={seed} ---",
             pricing_name(pricing),
-            node_order_name(order)
+            node_order_name(order),
+            branch_rule_name(branch)
         );
         opts = opts.observer(trace_observer());
     }
@@ -168,8 +146,6 @@ fn run(
         gap: sol.gap(),
         dual_bound: sol.best_bound(),
         objective: if sol.has_incumbent() { sol.objective_value() } else { f64::NAN },
-        symmetry_orbits: sol.stats().symmetry_orbits,
-        orbital_fixings: sol.stats().orbital_fixings,
         strong_branch_probes: sol.stats().strong_branch_probes,
     }
 }
@@ -190,7 +166,7 @@ fn record(
     warm: bool,
     cuts: bool,
     accel: Accel,
-    search: Search,
+    branch: BranchRule,
     tasks: usize,
     s: u64,
 ) -> BenchRecord {
@@ -221,8 +197,7 @@ fn record(
         batch: false,
         portfolio: false,
         sweep_wall_seconds: None,
-        branch_rule: Some(branch_rule_name(search.branch).into()),
-        symmetry: Some(search.symmetry),
+        branch_rule: Some(branch_rule_name(branch).into()),
     }
 }
 
@@ -251,7 +226,7 @@ fn ablation(
     order: NodeOrder,
     cuts: bool,
     accel: Accel,
-    search: Search,
+    branch: BranchRule,
     trace: bool,
     records: &mut Vec<BenchRecord>,
 ) -> bool {
@@ -265,7 +240,7 @@ fn ablation(
             let mut pivots = [0u64; 2]; // [warm, cold]
             for (slot, warm) in [(0usize, true), (1usize, false)] {
                 let r = run(
-                    kernel, pricing, order, warm, cuts, accel, search, tasks, seconds, seed, trace,
+                    kernel, pricing, order, warm, cuts, accel, branch, tasks, seconds, seed, trace,
                 );
                 let name = format!(
                     "{}/{}/{}",
@@ -290,7 +265,7 @@ fn ablation(
                     }
                 }
                 records.push(record(
-                    &r, kernel, pricing, order, warm, cuts, accel, search, tasks, seed,
+                    &r, kernel, pricing, order, warm, cuts, accel, branch, tasks, seed,
                 ));
             }
             if pivots[0] > pivots[1] {
@@ -326,7 +301,7 @@ fn cuts_ablation(
     seed: u64,
     order: NodeOrder,
     accel: Accel,
-    search: Search,
+    branch: BranchRule,
     trace: bool,
     records: &mut Vec<BenchRecord>,
 ) -> bool {
@@ -336,12 +311,12 @@ fn cuts_ablation(
     let mut ok = true;
     let kernel = BasisKernel::SparseLu;
     let pricing = Pricing::SteepestEdge;
-    let on = run(kernel, pricing, order, true, true, accel, search, tasks, seconds, seed, trace);
-    let off = run(kernel, pricing, order, true, false, accel, search, tasks, seconds, seed, trace);
+    let on = run(kernel, pricing, order, true, true, accel, branch, tasks, seconds, seed, trace);
+    let off = run(kernel, pricing, order, true, false, accel, branch, tasks, seconds, seed, trace);
     print_row("sparse-lu/dse/cuts-on", tasks, seed, &on);
     print_row("sparse-lu/dse/cuts-off", tasks, seed, &off);
-    records.push(record(&on, kernel, pricing, order, true, true, accel, search, tasks, seed));
-    records.push(record(&off, kernel, pricing, order, true, false, accel, search, tasks, seed));
+    records.push(record(&on, kernel, pricing, order, true, true, accel, branch, tasks, seed));
+    records.push(record(&off, kernel, pricing, order, true, false, accel, branch, tasks, seed));
     println!("  cuts applied (on-run): {}", on.cuts_applied);
     if on.status != "Optimal" || off.status != "Optimal" {
         eprintln!(
@@ -388,7 +363,7 @@ fn heuristics_ablation(
     seconds: f64,
     seed: u64,
     order: NodeOrder,
-    search: Search,
+    branch: BranchRule,
     trace: bool,
     records: &mut Vec<BenchRecord>,
 ) -> bool {
@@ -407,9 +382,9 @@ fn heuristics_ablation(
     ];
     let mut runs = Vec::with_capacity(arms.len());
     for (name, accel) in arms {
-        let r = run(kernel, pricing, order, true, true, accel, search, tasks, seconds, seed, trace);
+        let r = run(kernel, pricing, order, true, true, accel, branch, tasks, seconds, seed, trace);
         print_row(name, tasks, seed, &r);
-        records.push(record(&r, kernel, pricing, order, true, true, accel, search, tasks, seed));
+        records.push(record(&r, kernel, pricing, order, true, true, accel, branch, tasks, seed));
         runs.push((name, r));
     }
     let all_on = &runs[0].1;
@@ -487,15 +462,14 @@ fn heuristics_ablation(
     ok
 }
 
-/// Tree-shrink ablation (PR 10): baseline (most-fractional, no symmetry),
-/// reliability branching only, symmetry only, and both together — on the
-/// sparse-lu/dse/warm/cuts-on reference configuration.
+/// Branching-rule A/B: the most-fractional baseline against reliability
+/// branching on the sparse-lu/dse/warm/cuts-on reference configuration.
 ///
-/// Returns `false` when proven optima diverge, when a feature arm fails to
-/// prove an optimum the baseline proves within the same budget, or when a
-/// feature arm's tree is more than 5% larger than the baseline tree (both
-/// proven; the slack absorbs exploration-order noise).
-fn symmetry_ablation(
+/// Returns `false` when the proven optima diverge, when reliability
+/// branching fails to prove an optimum the baseline proves within the same
+/// budget, or when its tree is more than 5% larger than the baseline tree
+/// (both proven; the slack absorbs exploration-order noise).
+fn branch_ablation(
     tasks: usize,
     seconds: f64,
     seed: u64,
@@ -507,73 +481,51 @@ fn symmetry_ablation(
     println!(
         "config              M  seed  status      nodes  simplex_iters  seconds  nodes/s  pivots/s  warm/cold"
     );
-    let mut ok = true;
     let kernel = BasisKernel::SparseLu;
     let pricing = Pricing::SteepestEdge;
-    let arms = [
-        ("search-baseline", Search::BASELINE),
-        ("reliability-only", Search { branch: BranchRule::Reliability, symmetry: false }),
-        ("symmetry-only", Search { branch: BranchRule::MostFractional, symmetry: true }),
-        ("reliability+sym", Search { branch: BranchRule::Reliability, symmetry: true }),
-    ];
-    let mut runs = Vec::with_capacity(arms.len());
-    for (name, search) in arms {
-        let r = run(kernel, pricing, order, true, true, accel, search, tasks, seconds, seed, trace);
+    let mut runs = Vec::with_capacity(2);
+    for (name, branch) in
+        [("search-baseline", BranchRule::MostFractional), ("reliability", BranchRule::Reliability)]
+    {
+        let r = run(kernel, pricing, order, true, true, accel, branch, tasks, seconds, seed, trace);
         print_row(name, tasks, seed, &r);
-        records.push(record(&r, kernel, pricing, order, true, true, accel, search, tasks, seed));
-        runs.push((name, r));
+        records.push(record(&r, kernel, pricing, order, true, true, accel, branch, tasks, seed));
+        runs.push(r);
     }
-    let baseline = &runs[0].1;
-    let both = &runs[runs.len() - 1].1;
-    println!(
-        "  tree-shrink work (both-on): {} symmetry orbit(s), {} orbital fixing(s), \
-         {} strong-branch probe(s)",
-        both.symmetry_orbits, both.orbital_fixings, both.strong_branch_probes
-    );
+    let (baseline, reliability) = (&runs[0], &runs[1]);
+    println!("  strong-branch probes (reliability): {}", reliability.strong_branch_probes);
 
-    // Every proven optimum must agree with the first proven one.
-    let mut objective: Option<f64> = None;
-    for (name, r) in &runs {
-        if r.status != "Optimal" {
-            continue;
-        }
-        match objective {
-            None => objective = Some(r.objective),
-            Some(o) => {
-                if (r.objective - o).abs() > 1e-4 * o.abs().max(1.0) {
-                    eprintln!("FAIL: {name} optimum {} disagrees with {}", r.objective, o);
-                    ok = false;
-                }
-            }
+    let mut ok = true;
+    if baseline.status == "Optimal" && reliability.status == "Optimal" {
+        let o = baseline.objective;
+        if (reliability.objective - o).abs() > 1e-4 * o.abs().max(1.0) {
+            eprintln!("FAIL: reliability optimum {} disagrees with {o}", reliability.objective);
+            ok = false;
         }
     }
-    // The passes must never lose optimality: whatever the baseline proves
-    // within the budget, every feature arm must prove too.
+    // The rule must never lose optimality: whatever the baseline proves
+    // within the budget, reliability branching must prove too.
     if baseline.status == "Optimal" {
-        for (name, r) in &runs[1..] {
-            if r.status != "Optimal" {
-                eprintln!(
-                    "FAIL: search-baseline proved the optimum but {name} stopped at {}",
-                    r.status
-                );
-                ok = false;
-                continue;
-            }
-            // Nor grow the tree: that is the whole point of the passes.
-            if r.nodes as f64 > baseline.nodes as f64 * 1.05 {
-                eprintln!(
-                    "FAIL: {name} grew the tree by more than 5% ({} > {} nodes)",
-                    r.nodes, baseline.nodes
-                );
-                ok = false;
-            } else {
-                println!(
-                    "  node ratio (baseline/{name}): {:.2}x ({} -> {})",
-                    baseline.nodes as f64 / r.nodes.max(1) as f64,
-                    baseline.nodes,
-                    r.nodes
-                );
-            }
+        if reliability.status != "Optimal" {
+            eprintln!(
+                "FAIL: search-baseline proved the optimum but reliability stopped at {}",
+                reliability.status
+            );
+            ok = false;
+        // Nor grow the tree: that is the whole point of the rule.
+        } else if reliability.nodes as f64 > baseline.nodes as f64 * 1.05 {
+            eprintln!(
+                "FAIL: reliability grew the tree by more than 5% ({} > {} nodes)",
+                reliability.nodes, baseline.nodes
+            );
+            ok = false;
+        } else {
+            println!(
+                "  node ratio (baseline/reliability): {:.2}x ({} -> {})",
+                baseline.nodes as f64 / reliability.nodes.max(1) as f64,
+                baseline.nodes,
+                reliability.nodes
+            );
         }
     }
     ok
@@ -590,13 +542,13 @@ fn main() {
     let mut warm = true;
     let mut cuts = true;
     let mut accel = Accel::ALL_ON;
-    let mut search = Search::BASELINE;
+    let mut branch = BranchRule::MostFractional;
     let mut json: Option<String> = None;
     let mut append_json: Option<String> = None;
     let mut grid = false;
     let mut cuts_grid = false;
     let mut accel_grid = false;
-    let mut search_grid = false;
+    let mut branch_grid = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let on_off = |flag: &str, val: &str| match val {
         "on" => true,
@@ -628,8 +580,8 @@ fn main() {
             i += 1;
             continue;
         }
-        if args[i] == "--symmetry-ablation" {
-            search_grid = true;
+        if args[i] == "--branch-ablation" {
+            branch_grid = true;
             i += 1;
             continue;
         }
@@ -660,12 +612,11 @@ fn main() {
             "--propagation" => accel.propagation = on_off("--propagation", val),
             "--conflicts" => accel.conflicts = on_off("--conflicts", val),
             "--branch-rule" => {
-                search.branch = parse_branch_rule(val).unwrap_or_else(|| {
+                branch = parse_branch_rule(val).unwrap_or_else(|| {
                     eprintln!("--branch-rule takes most-frac|first-frac|pseudo|reliability");
                     std::process::exit(2);
                 })
             }
-            "--symmetry" => search.symmetry = on_off("--symmetry", val),
             "--json" => json = Some(val.clone()),
             "--append-json" => append_json = Some(val.clone()),
             other => {
@@ -679,14 +630,14 @@ fn main() {
     let mut records: Vec<BenchRecord> = Vec::new();
     let mut failed = false;
 
-    if search_grid {
-        failed = !symmetry_ablation(tasks, seconds, seed, order, accel, trace, &mut records);
+    if branch_grid {
+        failed = !branch_ablation(tasks, seconds, seed, order, accel, trace, &mut records);
     } else if accel_grid {
-        failed = !heuristics_ablation(tasks, seconds, seed, order, search, trace, &mut records);
+        failed = !heuristics_ablation(tasks, seconds, seed, order, branch, trace, &mut records);
     } else if cuts_grid {
-        failed = !cuts_ablation(tasks, seconds, seed, order, accel, search, trace, &mut records);
+        failed = !cuts_ablation(tasks, seconds, seed, order, accel, branch, trace, &mut records);
     } else if grid {
-        failed = !ablation(tasks, seconds, seed, order, cuts, accel, search, trace, &mut records);
+        failed = !ablation(tasks, seconds, seed, order, cuts, accel, branch, trace, &mut records);
     } else {
         println!(
             "kernel              M  seed  status      nodes  simplex_iters  seconds  nodes/s  pivots/s  warm/cold"
@@ -701,7 +652,7 @@ fn main() {
                 warm,
                 cuts,
                 accel,
-                search,
+                branch,
                 tasks,
                 seconds,
                 s,
@@ -714,7 +665,7 @@ fn main() {
                 warm,
                 cuts,
                 accel,
-                search,
+                branch,
                 tasks,
                 seconds,
                 s,
@@ -726,7 +677,7 @@ fn main() {
             ] {
                 print_row(name, tasks, s, r);
                 records
-                    .push(record(r, kernel, pricing, order, warm, cuts, accel, search, tasks, s));
+                    .push(record(r, kernel, pricing, order, warm, cuts, accel, branch, tasks, s));
             }
             let dense_tp = dense.nodes as f64 / dense.seconds.max(1e-9);
             let sparse_tp = sparse.nodes as f64 / sparse.seconds.max(1e-9);

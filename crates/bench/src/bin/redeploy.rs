@@ -197,7 +197,6 @@ fn record(tasks: usize, mesh: usize, row: &Row) -> BenchRecord {
         portfolio: false,
         sweep_wall_seconds: None,
         branch_rule: None,
-        symmetry: None,
     }
 }
 

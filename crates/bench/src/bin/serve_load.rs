@@ -68,7 +68,6 @@ fn record(instance: &str, status: &str, nodes: u64, seconds: f64, threads: usize
         portfolio: false,
         sweep_wall_seconds: None,
         branch_rule: None,
-        symmetry: None,
     }
 }
 

@@ -163,7 +163,6 @@ fn main() {
                 portfolio: false,
                 sweep_wall_seconds: None,
                 branch_rule: None,
-                symmetry: None,
             });
         }
         let throughput = nodes as f64 / total_seconds;

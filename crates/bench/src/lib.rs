@@ -208,7 +208,7 @@ pub fn reduce_outcome(
 }
 
 /// A [`DeploymentSession`] configured like an [`OptimalConfig`] — the
-/// bridge the figure binaries use now that `solve_optimal` is deprecated.
+/// bridge the figure binaries use for one-shot exact solves.
 pub fn session_for(problem: &ProblemInstance, config: &OptimalConfig) -> DeploymentSession {
     DeploymentSession::builder(problem.clone())
         .path_mode(config.path_mode)
@@ -417,9 +417,6 @@ pub struct BenchRecord {
     /// `reliability`). `None` (serialized as `null`) for records written
     /// before the field existed or where the rule is not meaningful.
     pub branch_rule: Option<String>,
-    /// Symmetry handling (lex rows + orbital fixing) was enabled *and*
-    /// candidates were supplied. `None` (`null`) when not applicable.
-    pub symmetry: Option<bool>,
 }
 
 /// A finite float as JSON, non-finite as `null` (JSON has no Inf/NaN).
@@ -446,7 +443,7 @@ impl BenchRecord {
                 "\"conflict_cuts_applied\":{},",
                 "\"gap\":{},\"dual_bound\":{},\"seconds\":{:.4},\"speedup\":{},",
                 "\"batch\":{},\"portfolio\":{},\"sweep_wall_seconds\":{},",
-                "\"branch_rule\":{},\"symmetry\":{}}}"
+                "\"branch_rule\":{}}}"
             ),
             self.instance,
             self.kernel,
@@ -475,7 +472,6 @@ impl BenchRecord {
             self.portfolio,
             self.sweep_wall_seconds.map_or_else(|| "null".to_string(), json_f64),
             self.branch_rule.as_ref().map_or_else(|| "null".to_string(), |r| format!("\"{r}\"")),
-            self.symmetry.map_or_else(|| "null".to_string(), |s| s.to_string()),
         )
     }
 }
@@ -636,7 +632,6 @@ mod tests {
             portfolio: false,
             sweep_wall_seconds: Some(123.5),
             branch_rule: Some("reliability".into()),
-            symmetry: Some(true),
         };
         let j = r.to_json();
         for needle in [
@@ -664,7 +659,6 @@ mod tests {
             "\"portfolio\":false",
             "\"sweep_wall_seconds\":123.500000",
             "\"branch_rule\":\"reliability\"",
-            "\"symmetry\":true",
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }
@@ -702,14 +696,12 @@ mod tests {
             portfolio: false,
             sweep_wall_seconds: Some(f64::NAN),
             branch_rule: None,
-            symmetry: None,
         };
         let j = r.to_json();
         assert!(j.contains("\"gap\":null"), "{j}");
         assert!(j.contains("\"dual_bound\":null"), "{j}");
         assert!(j.contains("\"sweep_wall_seconds\":null"), "{j}");
         assert!(j.contains("\"branch_rule\":null"), "{j}");
-        assert!(j.contains("\"symmetry\":null"), "{j}");
         assert!(!j.contains("inf") && !j.contains("NaN"), "{j}");
     }
 
@@ -742,7 +734,6 @@ mod tests {
             portfolio: false,
             sweep_wall_seconds: None,
             branch_rule: None,
-            symmetry: None,
         }
     }
 

@@ -110,25 +110,6 @@ fn h_expr(problem: &ProblemInstance, hd: &[VarId], i: usize) -> LinExpr {
     }
 }
 
-/// Builds the full MILP for `problem`.
-///
-/// Deprecated spelling of [`MilpEncoding::build`]; prefer that constructor,
-/// or let a [`DeploymentSession`](crate::DeploymentSession) own the
-/// encoding end to end.
-///
-/// # Errors
-///
-/// Propagates variable-construction failures from the solver layer (which
-/// cannot occur for the bounds used here, but the signature stays honest).
-#[deprecated(since = "0.2.0", note = "use `MilpEncoding::build` or `DeploymentSession`")]
-pub fn build_milp(
-    problem: &ProblemInstance,
-    path_mode: PathMode,
-    objective: DeployObjective,
-) -> Result<MilpEncoding> {
-    MilpEncoding::build(problem, path_mode, objective)
-}
-
 /// Builds the full MILP for `problem` (the implementation behind
 /// [`MilpEncoding::build`]).
 fn encode(
@@ -708,58 +689,6 @@ impl MilpEncoding {
     /// Panics when `task` is out of range.
     pub fn deadline_row(&self, task: usize) -> ConstraintId {
         self.deadline_rows[task]
-    }
-
-    /// Lifts the mesh automorphism group of `problem`'s NoC to candidate
-    /// column permutations of the assembled model, the input
-    /// `ndp_milp::SolverOptions::symmetry_candidates` expects. Each mesh
-    /// automorphism `π` (D4 for square meshes, axis reflections for
-    /// rectangular ones) relabels processor `k` to `π(k)`; the lift
-    /// relabels every processor-indexed column — `x[i][k]`, the path
-    /// selectors `c[β][γ][ρ]`, the flows `q`/`q2` and the energy products
-    /// `ω[i][k]` — and leaves task/level/sequencing columns in place. The
-    /// identity automorphism is dropped. The solver verifies every
-    /// candidate against the model's actual coefficients before using it,
-    /// so instances whose coefficients break the geometry (per-link
-    /// jitter, faulted cores) simply verify to nothing.
-    pub fn symmetry_candidates(&self, problem: &ProblemInstance) -> Vec<Vec<usize>> {
-        let n = self.n_procs;
-        let mut out = Vec::new();
-        for pi in problem.noc.mesh().automorphisms() {
-            if pi.iter().enumerate().all(|(k, &v)| v == k) {
-                continue;
-            }
-            let mut p: Vec<usize> = (0..self.n_model_vars).collect();
-            for i in 0..self.n_tasks {
-                for k in 0..n {
-                    p[self.x[i][k].index()] = self.x[i][pi[k]].index();
-                    p[self.omega[i][k].index()] = self.omega[i][pi[k]].index();
-                }
-            }
-            for beta in 0..n {
-                for gamma in 0..n {
-                    let src = beta * n + gamma;
-                    let dst = pi[beta] * n + pi[gamma];
-                    // β≠γ ⇔ π(β)≠π(γ) under a bijection, so the sparsity
-                    // patterns of `c`/`q2` line up between src and dst.
-                    for rho in 0..2 {
-                        if let Some(v) = self.c[src * 2 + rho] {
-                            p[v.index()] = self.c[dst * 2 + rho].expect("same sparsity").index();
-                        }
-                    }
-                    for (qe, q2e) in self.q.iter().zip(&self.q2) {
-                        p[qe[src].index()] = qe[dst].index();
-                        for rho in 0..2 {
-                            if let Some(v) = q2e[src * 2 + rho] {
-                                p[v.index()] = q2e[dst * 2 + rho].expect("same sparsity").index();
-                            }
-                        }
-                    }
-                }
-            }
-            out.push(p);
-        }
-        out
     }
 
     /// Reads a solved model back into a [`Deployment`].

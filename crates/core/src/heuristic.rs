@@ -233,38 +233,6 @@ fn assemble(problem: &ProblemInstance, p1: &Phase1, p2: &Phase2, paths: PathChoi
     d
 }
 
-/// Runs all three phases and validates the horizon.
-///
-/// Deprecated spelling of
-/// [`DeploymentSession::heuristic`](crate::DeploymentSession::heuristic).
-///
-/// # Errors
-///
-/// [`DeployError::HeuristicInfeasible`] when phase 1 cannot satisfy
-/// deadline/reliability constraints, or the final schedule overruns `H`.
-#[deprecated(since = "0.2.0", note = "use `DeploymentSession::heuristic`")]
-pub fn solve_heuristic(problem: &ProblemInstance) -> Result<Deployment> {
-    heuristic_deployment(problem, &ObserverHandle::none())
-}
-
-/// [`solve_heuristic`] with progress observation.
-///
-/// Deprecated: construct a
-/// [`DeploymentSession`](crate::DeploymentSession) whose solver options
-/// carry the observer and call
-/// [`heuristic`](crate::DeploymentSession::heuristic) on it.
-///
-/// # Errors
-///
-/// Same as [`solve_heuristic`].
-#[deprecated(since = "0.2.0", note = "use `DeploymentSession::heuristic`")]
-pub fn solve_heuristic_observed(
-    problem: &ProblemInstance,
-    observer: &ObserverHandle,
-) -> Result<Deployment> {
-    heuristic_deployment(problem, observer)
-}
-
 /// The 3-phase heuristic: emits a [`SolverEvent::Phase`] marker (`"phase1"`
 /// … `"phase3"`, `"assemble"`) into `observer` as each of the paper's
 /// subproblems starts. The heuristic is deterministic, so the event

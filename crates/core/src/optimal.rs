@@ -1,18 +1,17 @@
-//! Exact solution of the deployment MILP.
+//! Configuration and outcome of an exact solve of the deployment MILP.
 //!
 //! This is the paper's "Optimal" arm: problem (10) linearized by
-//! [`build_milp`](crate::formulation::build_milp) and handed to the
-//! `ndp-milp` branch-and-bound (substituting for Gurobi; see DESIGN.md).
-//! The 3-phase heuristic can seed the search as a MIP warm start, which is
-//! the standard way to make exact solvers practical on these models.
+//! [`MilpEncoding::build`](crate::MilpEncoding::build) and handed to the
+//! `ndp-milp` branch-and-bound (substituting for Gurobi; see DESIGN.md) by
+//! [`DeploymentSession::solve`](crate::DeploymentSession::solve). The
+//! 3-phase heuristic can seed the search as a MIP warm start, which is the
+//! standard way to make exact solvers practical on these models.
 
-use crate::error::Result;
-use crate::formulation::{DeployObjective, MilpEncoding, PathMode};
-use crate::heuristic::heuristic_deployment;
+use crate::formulation::{DeployObjective, PathMode};
 use crate::problem::ProblemInstance;
 use crate::solution::Deployment;
 use crate::validate::is_valid;
-use ndp_milp::{BranchRule, ObserverHandle, SolveStats, SolveStatus, SolverOptions};
+use ndp_milp::{BranchRule, SolveStats, SolveStatus, SolverOptions};
 
 /// Configuration of an exact solve.
 #[derive(Debug, Clone)]
@@ -78,7 +77,7 @@ impl OptimalOutcome {
 }
 
 /// Picks the best valid warm-start candidate under `objective` (shared by
-/// the legacy one-shot path and [`DeploymentSession`](crate::DeploymentSession)).
+/// [`DeploymentSession`](crate::DeploymentSession) and the batch solver).
 pub(crate) fn best_warm_candidate(
     problem: &ProblemInstance,
     objective: DeployObjective,
@@ -92,59 +91,6 @@ pub(crate) fn best_warm_candidate(
         .into_iter()
         .filter(|d| is_valid(problem, d))
         .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("finite energies"))
-}
-
-/// Solves the deployment problem exactly.
-///
-/// Deprecated spelling of a one-shot
-/// [`DeploymentSession::solve`](crate::DeploymentSession::solve). This shim
-/// keeps the historical single-solve pipeline (including presolve);
-/// sessions trade presolve for the ability to re-solve incrementally after
-/// scenario events.
-///
-/// # Errors
-///
-/// Propagates [`DeployError::Solver`](crate::DeployError::Solver) on
-/// numerical failure; infeasibility is reported through
-/// [`OptimalOutcome::status`].
-#[deprecated(since = "0.2.0", note = "use `DeploymentSession` (builder + solve/resolve)")]
-pub fn solve_optimal(problem: &ProblemInstance, config: &OptimalConfig) -> Result<OptimalOutcome> {
-    let mut encoding = MilpEncoding::build(problem, config.path_mode, config.objective)?;
-    // Collect warm-start candidates and keep the best objective.
-    let mut candidates: Vec<Deployment> = Vec::new();
-    if config.warm_start_with_heuristic {
-        if let Ok(h) = heuristic_deployment(problem, &ObserverHandle::none()) {
-            candidates.push(h);
-        }
-    }
-    if let Some(d) = &config.warm_start_deployment {
-        candidates.push(d.clone());
-    }
-    if let Some(d) = best_warm_candidate(problem, config.objective, candidates) {
-        let vals = encoding.warm_start_values(problem, &d);
-        encoding.model.set_warm_start(vals)?;
-    }
-    // Offer the mesh automorphisms as symmetry candidates unless the caller
-    // supplied their own; the solver verifies them against the coefficients.
-    let mut solver = config.solver.clone();
-    if solver.symmetry_candidates.is_empty() {
-        solver = solver.symmetry_candidates(encoding.symmetry_candidates(problem));
-    }
-    let sol = encoding.model.solve_with(&solver)?;
-    // `has_incumbent` (not `has_solution`) so a cancelled solve still hands
-    // back the best deployment it found.
-    let deployment = if sol.has_incumbent() { Some(encoding.extract(problem, &sol)) } else { None };
-    let objective_mj = deployment.as_ref().map(|_| sol.objective_value());
-    Ok(OptimalOutcome {
-        deployment,
-        status: sol.status(),
-        objective_mj,
-        best_bound_mj: sol.best_bound(),
-        nodes: sol.node_count(),
-        nodes_per_thread: sol.nodes_per_thread().to_vec(),
-        solve_seconds: sol.solve_seconds(),
-        stats: *sol.stats(),
-    })
 }
 
 #[cfg(test)]
@@ -225,20 +171,5 @@ mod tests {
         let out = s.solve().unwrap();
         assert_eq!(out.status, SolveStatus::Infeasible);
         assert!(!out.is_feasible());
-    }
-
-    /// The deprecated one-shot shim must keep solving (with presolve) and
-    /// agree with the session route on a solved-to-optimality instance.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_agrees_with_session() {
-        let p = small_instance(3, 5, 3.0);
-        let cfg = OptimalConfig { solver: quick_solver(), ..OptimalConfig::default() };
-        let legacy = solve_optimal(&p, &cfg).unwrap();
-        let session = DeploymentSession::builder(p).solver(quick_solver()).build().solve().unwrap();
-        if legacy.status == SolveStatus::Optimal && session.status == SolveStatus::Optimal {
-            let (a, b) = (legacy.objective_mj.unwrap(), session.objective_mj.unwrap());
-            assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "legacy {a} vs session {b}");
-        }
     }
 }

@@ -20,9 +20,7 @@
 //!   mutated problem; standing core faults are re-applied and the next
 //!   solve warm-starts from the heuristic on the new problem.
 //!
-//! The session is also the unified front door for one-shot solving — it
-//! subsumes the deprecated free functions `solve_heuristic`,
-//! `solve_heuristic_observed`, `solve_optimal` and `build_milp`:
+//! The session is also the one front door for one-shot solving:
 //!
 //! ```
 //! use ndp_core::prelude::*;
@@ -257,8 +255,7 @@ impl DeploymentSession {
 
     /// Runs the paper's 3-phase decomposition heuristic on the current
     /// problem (Algorithms 1–3), emitting phase markers into the solver
-    /// options' observer. Replaces the deprecated `solve_heuristic` /
-    /// `solve_heuristic_observed`.
+    /// options' observer.
     ///
     /// The heuristic is stateless and fault-oblivious: after a
     /// [`ScenarioEvent::CoreFault`] its deployment may use the faulted
@@ -276,8 +273,8 @@ impl DeploymentSession {
     /// use). The encoding's `model` field is detached — the model lives in
     /// the internal [`ResolveSession`] — but every registry accessor
     /// ([`MilpEncoding::x_var`], [`MilpEncoding::deadline_row`],
-    /// [`MilpEncoding::warm_start_values`], …) works. Replaces the
-    /// deprecated `build_milp` for callers that need variable handles.
+    /// [`MilpEncoding::warm_start_values`], …) works, for callers that
+    /// need variable handles.
     ///
     /// # Errors
     ///
@@ -339,8 +336,7 @@ impl DeploymentSession {
     }
 
     /// Solves the current model with the configured options, capturing
-    /// solver state for the next re-solve. Replaces the deprecated
-    /// `solve_optimal`.
+    /// solver state for the next re-solve.
     ///
     /// # Errors
     ///
@@ -819,18 +815,6 @@ mod tests {
         }
         let err = s.apply(&ScenarioEvent::CoreFault { processor: ProcessorId(3) });
         assert!(matches!(err, Err(DeployError::InvalidParameter { .. })));
-    }
-
-    #[test]
-    fn heuristic_matches_deprecated_entry_point() {
-        let p = small_instance(4, 6);
-        let s = DeploymentSession::new(p.clone());
-        let via_session = s.heuristic().unwrap();
-        #[allow(deprecated)]
-        let via_free = crate::heuristic::solve_heuristic(&p).unwrap();
-        assert_eq!(via_session.processor, via_free.processor);
-        assert_eq!(via_session.frequency, via_free.frequency);
-        assert_eq!(via_session.active, via_free.active);
     }
 
     #[test]

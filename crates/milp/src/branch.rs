@@ -192,12 +192,6 @@ pub(crate) struct NodeWorker<'a> {
     pub(crate) conflict_cuts_generated: u64,
     /// Conflict no-goods accepted by the pool and appended to the LP.
     pub(crate) conflict_cuts_applied: u64,
-    /// Verified symmetry plan for node-level lex (orbital) propagation;
-    /// armed by [`NodeWorker::arm_symmetry`] after construction. `None`
-    /// when no symmetry was verified or orbital fixing is off.
-    symmetry: Option<Arc<crate::symmetry::SymmetryPlan>>,
-    /// Column fixings applied by lex propagation at this worker's nodes.
-    pub(crate) orbital_fixings: u64,
     /// Strong-branching probe LPs this worker solved (reliability rule).
     pub(crate) strong_branch_probes: u64,
 }
@@ -311,17 +305,8 @@ impl<'a> NodeWorker<'a> {
             propagation_seconds: 0.0,
             conflict_cuts_generated: 0,
             conflict_cuts_applied: 0,
-            symmetry: None,
-            orbital_fixings: 0,
             strong_branch_probes: 0,
         }
-    }
-
-    /// Arms node-level lex (orbital) propagation with a verified symmetry
-    /// plan. Kept out of `new` so the existing construction sites (tests,
-    /// parallel workers) stay untouched when no symmetry is present.
-    pub(crate) fn arm_symmetry(&mut self, plan: Arc<crate::symmetry::SymmetryPlan>) {
-        self.symmetry = Some(plan);
     }
 
     pub(crate) fn time_up(&self) -> bool {
@@ -550,17 +535,6 @@ impl<'a> NodeWorker<'a> {
         self.nodes += 1;
         // The solve moves the basis away from whatever snapshot was loaded.
         self.loaded = None;
-        if self.symmetry.is_some() && self.propagate_symmetry() {
-            // Lex propagation refuted the node: every point of its box is
-            // lex-dominated by a symmetric image, so the representative
-            // optimum lives elsewhere. Same event/conflict shape as a
-            // propagation fathom.
-            self.emit_node(node, f64::INFINITY, 0);
-            if self.conflicts_on {
-                self.maybe_conflict_cut(node);
-            }
-            return Ok((vec![], f64::INFINITY));
-        }
         if self.propagate_on && self.propagate_node() {
             // Propagation emptied the node box: fathom without an LP solve.
             // The node still emits its exploration event (bound +inf, zero
@@ -703,41 +677,6 @@ impl<'a> NodeWorker<'a> {
             });
         }
         fathomed
-    }
-
-    /// Lex (orbital) propagation on the current node box: under the
-    /// "keep the lex-greatest point of every symmetry orbit" rule, a fixed
-    /// prefix position forces fixings on its image columns, and a provably
-    /// violated prefix means every point of the box is lex-dominated by a
-    /// symmetric image — the surviving representative lives in another
-    /// subtree, so the node fathoms. Returns `true` on fathom. Applied
-    /// fixings land in the live LP exactly like propagation fixings and
-    /// feed the branched children through `branch_or_fathom`'s bound reads.
-    fn propagate_symmetry(&mut self) -> bool {
-        let Some(plan) = self.symmetry.clone() else {
-            return false;
-        };
-        let t0 = Instant::now();
-        let n = self.sf.n;
-        let mut plb = std::mem::take(&mut self.prop_lb);
-        let mut pub_ = std::mem::take(&mut self.prop_ub);
-        plb.clear();
-        plb.extend_from_slice(&self.lp.lb[..n]);
-        pub_.clear();
-        pub_.extend_from_slice(&self.lp.ub[..n]);
-        let mut fixed: Vec<(usize, f64)> = Vec::new();
-        let ok = crate::symmetry::propagate_lex(&plan.pairs, &mut plb, &mut pub_, &mut fixed);
-        if ok && !fixed.is_empty() {
-            for &(j, v) in &fixed {
-                self.lp.set_bounds(j, v, v);
-            }
-            self.orbital_fixings += fixed.len() as u64;
-            self.lp.refresh();
-        }
-        self.prop_lb = plb;
-        self.prop_ub = pub_;
-        self.propagation_seconds += t0.elapsed().as_secs_f64();
-        !ok
     }
 
     /// Derives a globally valid no-good cut from an infeasible node whose
@@ -1143,9 +1082,6 @@ pub(crate) struct SearchOutcome {
     pub(crate) conflict_cuts_generated: u64,
     /// Conflict no-goods appended to a worker LP (0 for parallel runs).
     pub(crate) conflict_cuts_applied: u64,
-    /// Column fixings applied by lex (orbital) propagation, summed over
-    /// workers.
-    pub(crate) orbital_fixings: u64,
     /// Strong-branching probe LPs solved (reliability rule), summed over
     /// workers.
     pub(crate) strong_branch_probes: u64,
@@ -1297,10 +1233,6 @@ pub(crate) fn solve(model: &Model, options: &SolverOptions) -> Result<Solution> 
                     let red = Arc::new(red);
                     let mut inner = options.clone();
                     inner.presolve = false;
-                    // Symmetry candidates are indexed by the caller's
-                    // columns; presolve re-shapes the model, so they do not
-                    // survive the reduction.
-                    inner.symmetry_candidates = Arc::new(Vec::new());
                     // A feed publishes points in the caller's column space;
                     // route them through the same presolve mapping as warm
                     // starts so the reduced search can consume them.
@@ -1420,42 +1352,6 @@ pub(crate) fn solve_on_form(
             crate::cuts::root_separation(model, &mut sf, options, &int_cols, &root_bounds, start);
     }
 
-    // Verified symmetry: lex-leader rows into the shared form (every search
-    // thread prices them) and a propagation plan armed on every worker.
-    // Disabled whenever a resume capture is requested or the search resumes
-    // from carried state — a session's carried form must stay
-    // representative-free, because a later model delta can re-rank the
-    // orbit representatives and turn the lex rows invalid.
-    let mut symmetry_plan: Option<Arc<crate::symmetry::SymmetryPlan>> = None;
-    let mut symmetry_orbits: u64 = 0;
-    if (options.symmetry_breaking || options.orbital_fixing)
-        && capture.is_none()
-        && !resumed
-        && !options.symmetry_candidates.is_empty()
-        && !int_cols.is_empty()
-    {
-        if let Some(plan) =
-            crate::symmetry::build_plan(model, &options.symmetry_candidates, &root_bounds)
-        {
-            let mut rows = 0usize;
-            if options.symmetry_breaking {
-                let big = sf.big;
-                for cut in plan.lex_cuts() {
-                    // Installed directly (not through the cut pool): lex rows
-                    // are structural symmetry breakers, not violated cuts —
-                    // the pool's violation filter would drop them all.
-                    sf.add_cut_row(&cut.coeffs, cut.rhs, -big, 0.0);
-                    rows += 1;
-                }
-            }
-            symmetry_orbits = plan.orbits;
-            let (generators, orbits) = (plan.generators, plan.orbits);
-            options.observer.emit(|| SolverEvent::SymmetryDetected { generators, orbits, rows });
-            if options.orbital_fixing {
-                symmetry_plan = Some(Arc::new(plan));
-            }
-        }
-    }
     let sf = sf;
 
     // Warm start from a user hint.
@@ -1506,20 +1402,10 @@ pub(crate) fn solve_on_form(
             root_basis.map(Arc::new),
             carried_bound.unwrap_or(f64::NEG_INFINITY),
             capture,
-            symmetry_plan,
         )?
     } else {
-        let out = parallel::search(
-            model,
-            &sf,
-            options,
-            &int_cols,
-            &root_bounds,
-            warm,
-            start,
-            threads,
-            symmetry_plan,
-        )?;
+        let out =
+            parallel::search(model, &sf, options, &int_cols, &root_bounds, warm, start, threads)?;
         // Parallel workers keep their bases and in-tree cuts private; the
         // session carries the shared root form (with its root cuts) cold.
         if let Some(cap) = capture {
@@ -1605,8 +1491,6 @@ pub(crate) fn solve_on_form(
             propagation_fathoms: outcome.propagation_fathoms,
             conflict_cuts_generated: outcome.conflict_cuts_generated,
             conflict_cuts_applied: outcome.conflict_cuts_applied,
-            symmetry_orbits,
-            orbital_fixings: outcome.orbital_fixings,
             strong_branch_probes: outcome.strong_branch_probes,
         },
     })
@@ -1652,12 +1536,8 @@ fn serial_search(
     root_basis: Option<Arc<BasisSnapshot>>,
     root_bound: f64,
     capture: Option<&mut Option<ResumeState>>,
-    symmetry: Option<Arc<crate::symmetry::SymmetryPlan>>,
 ) -> Result<SearchOutcome> {
     let mut worker = NodeWorker::new(model, sf, options, int_cols, root_bounds, start, true);
-    if let Some(plan) = symmetry {
-        worker.arm_symmetry(plan);
-    }
     let mut incumbent = LocalIncumbent::from_warm(warm);
 
     // A carried basis enters through the root node: `enter_node` restores
@@ -1710,7 +1590,6 @@ fn serial_search(
         propagation_seconds: worker.propagation_seconds,
         conflict_cuts_generated: worker.conflict_cuts_generated,
         conflict_cuts_applied: worker.conflict_cuts_applied,
-        orbital_fixings: worker.orbital_fixings,
         strong_branch_probes: worker.strong_branch_probes,
     })
 }

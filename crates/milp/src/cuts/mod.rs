@@ -60,11 +60,6 @@ pub(crate) enum CutFamily {
     /// No-good cut derived by conflict analysis from an infeasible node's
     /// binary fixing set (see [`crate::branch`]).
     Conflict,
-    /// Lexicographic symmetry-breaking row for a verified model symmetry
-    /// (see [`crate::symmetry`]). Installed unconditionally at the root —
-    /// symmetry rows are usually *unviolated* at the LP point, so they
-    /// bypass the pool's violation filter.
-    Symmetry,
 }
 
 /// Where a cut is valid. Cover cuts derive from the model rows and global

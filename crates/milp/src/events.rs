@@ -164,18 +164,6 @@ pub enum SolverEvent {
         /// without an LP solve.
         fathomed: bool,
     },
-    /// The solver verified a nontrivial symmetry group of the model from
-    /// the supplied candidate permutations (emitted once, before the tree
-    /// search; timestamp-free like every event so serial streams replay
-    /// bit-for-bit).
-    SymmetryDetected {
-        /// Verified non-identity group elements (after closure).
-        generators: usize,
-        /// Nontrivial integer-column orbits under the group.
-        orbits: u64,
-        /// Lexicographic symmetry-breaking rows installed at the root.
-        rows: usize,
-    },
     /// A globally valid conflict (no-good) cut was derived from an
     /// infeasible node's binary fixing set and appended to the worker LP.
     ConflictCut {
@@ -249,9 +237,6 @@ impl fmt::Display for SolverEvent {
                     f,
                     "node {node} propagated: {tightened} bounds tightened, fathomed {fathomed}"
                 )
-            }
-            SolverEvent::SymmetryDetected { generators, orbits, rows } => {
-                write!(f, "symmetry: {generators} generators, {orbits} orbits, {rows} lex rows")
             }
             SolverEvent::ConflictCut { depth, size } => {
                 write!(f, "conflict cut: depth {depth}, {size} literals")
@@ -576,7 +561,5 @@ mod tests {
         assert_eq!(p.to_string(), "node 3 propagated: 2 bounds tightened, fathomed false");
         let c = SolverEvent::ConflictCut { depth: 4, size: 4 };
         assert_eq!(c.to_string(), "conflict cut: depth 4, 4 literals");
-        let s = SolverEvent::SymmetryDetected { generators: 7, orbits: 3, rows: 7 };
-        assert_eq!(s.to_string(), "symmetry: 7 generators, 3 orbits, 7 lex rows");
     }
 }

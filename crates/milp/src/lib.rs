@@ -66,7 +66,6 @@ mod resolve;
 mod simplex;
 mod solution;
 mod standard;
-mod symmetry;
 #[cfg(test)]
 mod testgen;
 

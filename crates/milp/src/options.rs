@@ -181,23 +181,6 @@ pub struct SolverOptions {
     /// fathoming every other node that repeats the assignment. Serial-only
     /// (appended rows are worker-local), like in-tree cover cuts.
     pub conflict_cuts: bool,
-    /// Candidate column permutations of the model (each a full-length map
-    /// `j ↦ σ(j)` over structural columns), typically lifted from mesh
-    /// automorphisms by the encoding layer. Every candidate is verified
-    /// *exactly* against the model at solve time — objective, bounds, kinds,
-    /// priorities and the constraint multiset must all be invariant — so an
-    /// unsound candidate is silently rejected rather than trusted. Empty by
-    /// default (no symmetry handling).
-    pub symmetry_candidates: Arc<Vec<Vec<usize>>>,
-    /// Install lexicographic symmetry-breaking rows at the root for the
-    /// verified symmetry group (requires `symmetry_candidates`). Each row
-    /// keeps the lex-greatest representative of every solution orbit, so at
-    /// least one optimum always survives.
-    pub symmetry_breaking: bool,
-    /// Propagate the lex-leader constraints at every node (orbital fixing):
-    /// once a prefix column is fixed, its images under the group are fixed
-    /// or the node fathoms. Sound with or without the root rows installed.
-    pub orbital_fixing: bool,
     /// Reliability threshold `η` of [`BranchRule::Reliability`]: a column is
     /// strong-branched until both its down and up pseudo-cost observation
     /// counts reach this value.
@@ -247,9 +230,6 @@ impl Default for SolverOptions {
             heuristic_node_limit: 200,
             propagation: true,
             conflict_cuts: true,
-            symmetry_candidates: Arc::new(Vec::new()),
-            symmetry_breaking: true,
-            orbital_fixing: true,
             reliability_threshold: 8,
             strong_branch_pivot_limit: 100,
             observer: ObserverHandle::none(),
@@ -436,25 +416,6 @@ impl SolverOptions {
         self
     }
 
-    /// Supplies candidate column permutations for symmetry handling,
-    /// builder-style. See [`SolverOptions::symmetry_candidates`].
-    pub fn symmetry_candidates(mut self, candidates: Vec<Vec<usize>>) -> Self {
-        self.symmetry_candidates = Arc::new(candidates);
-        self
-    }
-
-    /// Enables or disables root lex symmetry-breaking rows, builder-style.
-    pub fn symmetry_breaking(mut self, on: bool) -> Self {
-        self.symmetry_breaking = on;
-        self
-    }
-
-    /// Enables or disables node-level orbital fixing, builder-style.
-    pub fn orbital_fixing(mut self, on: bool) -> Self {
-        self.orbital_fixing = on;
-        self
-    }
-
     /// Sets the reliability threshold `η`, builder-style.
     pub fn reliability_threshold(mut self, eta: u32) -> Self {
         self.reliability_threshold = eta;
@@ -531,22 +492,15 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_and_reliability_defaults() {
+    fn reliability_defaults() {
         let o = SolverOptions::default();
-        assert!(o.symmetry_candidates.is_empty(), "no candidates unless supplied");
-        assert!(o.symmetry_breaking && o.orbital_fixing, "passes armed once candidates exist");
         assert_eq!(o.reliability_threshold, 8);
         assert_eq!(o.strong_branch_pivot_limit, 100);
         assert_eq!(o.branch_rule, BranchRule::MostFractional, "Reliability is opt-in");
         let o = o
-            .symmetry_candidates(vec![vec![1, 0]])
-            .symmetry_breaking(false)
-            .orbital_fixing(false)
             .reliability_threshold(4)
             .strong_branch_pivot_limit(50)
             .branch_rule(BranchRule::Reliability);
-        assert_eq!(o.symmetry_candidates.as_ref(), &vec![vec![1, 0]]);
-        assert!(!o.symmetry_breaking && !o.orbital_fixing);
         assert_eq!(o.reliability_threshold, 4);
         assert_eq!(o.strong_branch_pivot_limit, 50);
         assert_eq!(o.branch_rule, BranchRule::Reliability);

@@ -215,9 +215,6 @@ struct SearchShared {
     pool: Pool,
     control: Control,
     incumbent: SharedIncumbent,
-    /// Verified symmetry plan armed on every worker (lex propagation);
-    /// `None` when the root detected no usable symmetry.
-    symmetry: Option<Arc<crate::symmetry::SymmetryPlan>>,
     /// Per-worker stats, filled in by whichever thread ran the worker.
     stats: Mutex<Vec<Option<WorkerStats>>>,
     /// Helpers that have not finished (or been revoked) yet.
@@ -288,7 +285,6 @@ pub(crate) fn search(
     warm: Option<(Vec<f64>, f64)>,
     start: Instant,
     threads: usize,
-    symmetry: Option<Arc<crate::symmetry::SymmetryPlan>>,
 ) -> Result<SearchOutcome> {
     // Build the open-node pool and seed it with the root node.
     let mut locals: Vec<Option<Deque<OpenNode>>> = Vec::with_capacity(threads);
@@ -328,7 +324,6 @@ pub(crate) fn search(
             error: Mutex::new(None),
         },
         incumbent: SharedIncumbent::new(warm),
-        symmetry,
         stats: Mutex::new(vec![None; threads]),
         helpers_left: Mutex::new(threads - 1),
         helpers_done: Condvar::new(),
@@ -419,7 +414,6 @@ pub(crate) fn search(
         propagation_seconds: per_worker.iter().map(|w| w.propagation_seconds).sum(),
         conflict_cuts_generated: 0,
         conflict_cuts_applied: 0,
-        orbital_fixings: per_worker.iter().map(|w| w.orbital_fixings).sum(),
         strong_branch_probes: per_worker.iter().map(|w| w.strong_branch_probes).sum(),
     })
 }
@@ -439,7 +433,6 @@ struct WorkerStats {
     propagated_bounds: u64,
     propagation_fathoms: u64,
     propagation_seconds: f64,
-    orbital_fixings: u64,
     strong_branch_probes: u64,
 }
 
@@ -449,9 +442,6 @@ fn worker_loop(shared: &SearchShared, id: usize, local: Option<Deque<OpenNode>>)
         shared;
     let incumbent = &shared.incumbent;
     let mut worker = NodeWorker::new(model, sf, options, int_cols, root_bounds, *start, false);
-    if let Some(plan) = &shared.symmetry {
-        worker.arm_symmetry(Arc::clone(plan));
-    }
     let mut handle = SharedHandle(incumbent);
     let local = local.as_ref();
     let mut steals: u64 = 0;
@@ -556,7 +546,6 @@ fn worker_loop(shared: &SearchShared, id: usize, local: Option<Deque<OpenNode>>)
         propagated_bounds: worker.propagated_bounds,
         propagation_fathoms: worker.propagation_fathoms,
         propagation_seconds: worker.propagation_seconds,
-        orbital_fixings: worker.orbital_fixings,
         strong_branch_probes: worker.strong_branch_probes,
     }
 }

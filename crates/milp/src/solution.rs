@@ -104,11 +104,6 @@ pub struct SolveStats {
     pub conflict_cuts_generated: u64,
     /// Conflict cuts accepted by the pool and appended to a worker LP.
     pub conflict_cuts_applied: u64,
-    /// Nontrivial integer-column orbits of the verified symmetry group
-    /// (0 when no candidates were supplied or none verified).
-    pub symmetry_orbits: u64,
-    /// Column fixings applied by node-level lex (orbital) propagation.
-    pub orbital_fixings: u64,
     /// Strong-branching probe LPs solved by reliability branching.
     pub strong_branch_probes: u64,
 }

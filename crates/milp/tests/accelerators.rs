@@ -1,8 +1,8 @@
 //! Safety of the branch-and-bound accelerators, cross-checked against
 //! exhaustive enumeration.
 //!
-//! Primal heuristics, node propagation and conflict cuts may change *how*
-//! the tree is searched — never the answer. Each proptest below isolates
+//! Primal heuristics, node propagation, conflict cuts and reliability
+//! branching may change *how* the tree is searched — never the answer. Each proptest below isolates
 //! one accelerator (the others off) and requires exact agreement with the
 //! brute-force optimum on random binary MILPs, plus feasibility of every
 //! returned incumbent; the all-on configuration is checked too, because
@@ -12,7 +12,7 @@
 mod common;
 
 use common::{brute_force, build_binary, objective_of, random_milp, satisfies_rows, RandomMilp};
-use ndp_milp::{SolveStatus, SolverOptions};
+use ndp_milp::{BranchRule, SolveStatus, SolverOptions};
 use proptest::prelude::*;
 
 /// Solves under `opts` and checks exact agreement with enumeration.
@@ -116,6 +116,18 @@ proptest! {
             let ok = if milp.maximize { reported <= best + 1e-6 } else { reported >= best - 1e-6 };
             prop_assert!(ok, "incumbent {} beats the enumerated optimum {}", reported, best);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Reliability branching is a tree-shaping change only: the proven
+    /// optimum on plain random instances equals enumeration.
+    #[test]
+    fn reliability_matches_enumeration(milp in random_milp()) {
+        let opts = SolverOptions::default().branch_rule(BranchRule::Reliability).threads(1);
+        check_against_enumeration(&milp, &opts, "reliability")?;
     }
 }
 

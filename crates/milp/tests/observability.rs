@@ -4,7 +4,9 @@
 mod common;
 
 use common::{hard_knapsack, recording_observer, small_mip};
-use ndp_milp::{CancelToken, SolveStatus, SolverEvent, SolverOptions, TerminationReason};
+use ndp_milp::{
+    BranchRule, CancelToken, SolveStatus, SolverEvent, SolverOptions, TerminationReason,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -248,6 +250,26 @@ fn serial_event_stream_is_deterministic_with_all_accelerators() {
     let b = run();
     assert!(!a.is_empty());
     assert_eq!(a, b, "accelerators broke serial determinism");
+}
+
+/// Reliability branching keeps the serial stream bit-for-bit reproducible:
+/// strong-branching probes and pseudo-cost updates are pure arithmetic.
+#[test]
+fn serial_event_stream_is_deterministic_with_reliability() {
+    let run = || {
+        let (events, obs) = recording_observer();
+        let opts =
+            SolverOptions::default().threads(1).branch_rule(BranchRule::Reliability).observer(obs);
+        let sol = hard_knapsack(14).solve_with(&opts).unwrap();
+        assert_eq!(sol.status(), SolveStatus::Optimal);
+        assert!(sol.stats().strong_branch_probes > 0, "the rule must probe on this instance");
+        let e = events.lock().unwrap();
+        e.iter().map(|ev| format!("{ev:?}")).collect::<Vec<_>>()
+    };
+    let a = run();
+    let b = run();
+    assert!(!a.is_empty());
+    assert_eq!(a, b, "reliability branching broke serial determinism");
 }
 
 /// Cancels the solve from inside the observer after `after` node events,

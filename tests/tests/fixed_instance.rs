@@ -8,12 +8,12 @@
 //! proven optimum on an instance of this size.
 
 use ndp_core::{
-    validate, Deployment, DeploymentSession, OptimalConfig, OptimalOutcome, PathMode,
-    ProblemInstance,
+    validate, CommTimeModel, Deployment, DeploymentSession, MilpEncoding, OptimalConfig,
+    OptimalOutcome, PathMode, ProblemInstance,
 };
 use ndp_milp::{SolveStatus, SolverOptions};
 use ndp_noc::{Mesh2D, NocParams, PathKind, WeightedNoc};
-use ndp_platform::Platform;
+use ndp_platform::{Platform, PowerModel, PowerParams, ReliabilityParams, VfTable};
 use ndp_taskset::{generate, GeneratorConfig};
 
 const SEED: u64 = 7;
@@ -47,14 +47,24 @@ fn exact(p: &ProblemInstance, cfg: OptimalConfig) -> OptimalOutcome {
         .expect("exact solve must not error")
 }
 
-/// One-shot exact solve through the *historical presolved pipeline*, which
-/// the deprecated shim preserves (sessions trade presolve for incremental
-/// re-solvability). The node-count ablation contracts below were pinned on
-/// that pipeline — and routing them through the shim keeps the deprecated
-/// wrapper itself under test for as long as it exists.
-#[allow(deprecated)]
+/// One-shot exact solve straight on the encoded MILP, with the solver's
+/// presolve (sessions trade presolve for incremental re-solvability). The
+/// node-count ablation contracts below were pinned on this presolved
+/// pipeline; its callers seed no warm start, so none is set here.
 fn exact_presolved(p: &ProblemInstance, cfg: OptimalConfig) -> OptimalOutcome {
-    ndp_core::solve_optimal(p, &cfg).expect("exact solve must not error")
+    let enc = MilpEncoding::build(p, cfg.path_mode, cfg.objective).expect("encoding must build");
+    let sol = enc.model.solve_with(&cfg.solver).expect("exact solve must not error");
+    let deployment = sol.has_incumbent().then(|| enc.extract(p, &sol));
+    OptimalOutcome {
+        objective_mj: deployment.as_ref().map(|_| sol.objective_value()),
+        deployment,
+        status: sol.status(),
+        best_bound_mj: sol.best_bound(),
+        nodes: sol.node_count(),
+        nodes_per_thread: sol.nodes_per_thread().to_vec(),
+        solve_seconds: sol.solve_seconds(),
+        stats: *sol.stats(),
+    }
 }
 
 #[test]
@@ -208,5 +218,44 @@ fn accelerator_ablation_preserves_the_optimum_and_the_tree_size() {
     assert!(
         all_on.stats.heuristic_incumbents > 0 || all_on.stats.propagated_bounds > 0,
         "the accelerators must do observable work on this instance"
+    );
+}
+
+/// Conflict cuts do work on a deployment MILP, not only on the random
+/// binary models of the solver's own tests: the solve server's default
+/// request shape (M=3, 2×2 mesh, L=3, α=1.4, synthetic V/F corners on the
+/// 70 nm power model, per-unit communication time) at seed 27, solved
+/// serially under the exact arm's defaults, derives and applies no-goods
+/// on its way to the proven optimum.
+#[test]
+fn conflict_cuts_fire_on_a_served_deployment_milp() {
+    const SERVE_SEED: u64 = 27;
+    let graph = generate(&GeneratorConfig::typical(3), SERVE_SEED).unwrap();
+    let vf = VfTable::synthetic(3, (0.85, 1.10), (300.0, 1000.0)).unwrap();
+    let platform = Platform::new(
+        4,
+        vf,
+        PowerModel::new(PowerParams::bulk_70nm()),
+        ReliabilityParams::typical(),
+    )
+    .unwrap();
+    let noc =
+        WeightedNoc::new(Mesh2D::square(2).unwrap(), NocParams::typical(), SERVE_SEED).unwrap();
+    let p = ProblemInstance::from_original(&graph, platform, noc, 0.95, 1.4)
+        .unwrap()
+        .with_comm_time_model(CommTimeModel::PerUnit);
+
+    // Conflict no-goods are serial-only, so the solve runs on one thread.
+    let cfg = OptimalConfig::default();
+    let out = exact(&p, OptimalConfig { solver: cfg.solver.clone().threads(1), ..cfg });
+    assert_eq!(out.status, SolveStatus::Optimal, "the served instance must prove optimality");
+    let d = out.deployment.expect("optimal deployment");
+    let violations = validate(&p, &d);
+    assert!(violations.is_empty(), "optimal deployment rejected: {violations:?}");
+    assert!(
+        out.stats.conflict_cuts_applied > 0,
+        "conflict cuts must fire on this instance ({} derived, {} nodes)",
+        out.stats.conflict_cuts_generated,
+        out.nodes
     );
 }
